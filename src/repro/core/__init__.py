@@ -13,11 +13,9 @@
 - :class:`~repro.core.cluster.BayouCluster`: the end-to-end harness gluing
   simulator, network, broadcast stack, replicas and history recording.
 - :class:`~repro.core.session.Session` and
-  :class:`~repro.core.session.OpFuture`: the futures-based client pipeline
-  (``ClientSession`` is its backwards-compatible alias).
+  :class:`~repro.core.session.OpFuture`: the futures-based client pipeline.
 """
 
-from repro.core.client import ClientSession
 from repro.core.cluster import BayouCluster
 from repro.core.config import BayouConfig
 from repro.core.modified_replica import ModifiedBayouReplica
@@ -30,7 +28,6 @@ __all__ = [
     "BayouCluster",
     "BayouConfig",
     "BayouReplica",
-    "ClientSession",
     "Dot",
     "ModifiedBayouReplica",
     "OpFuture",

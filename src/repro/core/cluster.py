@@ -18,22 +18,18 @@ Typical experiment shape::
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.broadcast.failure_detector import OmegaFailureDetector
-from repro.broadcast.paxos import PaxosTOB
 from repro.broadcast.anti_entropy import AntiEntropy
-from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.sequencer import SequencerTOB
+from repro.broadcast.failure_detector import OmegaFailureDetector
 from repro.core.config import BayouConfig
-from repro.core.durability import DurableStore, open_store
-from repro.core.modified_replica import ModifiedBayouReplica
+from repro.core.durability import DurableStore
 from repro.core.replica import BayouReplica
 from repro.core.request import Dot, Req
 from repro.core.session import OpFuture, ResponseCallback, Session
+from repro.core.stack import MODIFIED, ORIGINAL, build_replica_stack
 from repro.datatypes.base import DataType, Operation
 from repro.errors import DivergedOrderError, ReplicaUnavailableError
 from repro.framework.history import PENDING, STRONG, WEAK, History, HistoryEvent
@@ -47,11 +43,6 @@ from repro.sim.clock import DriftingClock
 from repro.sim.kernel import Simulator
 from repro.sim.rng import SeededRngRegistry
 from repro.sim.trace import TraceLog
-
-#: Protocol selector values.
-ORIGINAL = "original"
-MODIFIED = "modified"
-
 
 @dataclass
 class _StagedEvent:
@@ -91,8 +82,6 @@ class BayouCluster:
     ) -> None:
         self.config = config or BayouConfig()
         self.config.validate()
-        if protocol not in (ORIGINAL, MODIFIED):
-            raise ValueError(f"unknown protocol {protocol!r}")
         self.protocol = protocol
         self.datatype = datatype
         #: Deployment name; prefixes node names (sharded deployments run
@@ -166,111 +155,38 @@ class BayouCluster:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _make_store(self, pid: int) -> Optional[DurableStore]:
-        """One replica's stable storage, per the configured backend."""
-        if self.config.durability == "jsonl":
-            if self._durability_root is None:
-                self._durability_root = (
-                    self.config.durability_dir
-                    or tempfile.mkdtemp(prefix="repro-durable-")
-                )
-            return open_store(
-                "jsonl",
-                directory=os.path.join(self._durability_root, f"node{pid}"),
-            )
-        return open_store(self.config.durability)
-
     def _build(self) -> None:
         config = self.config
-        replica_class = (
-            ModifiedBayouReplica if self.protocol == MODIFIED else BayouReplica
-        )
-        self._durability_root: Optional[str] = None
+        durability_root = None
+        if config.durability == "jsonl":
+            durability_root = config.durability_dir or tempfile.mkdtemp(
+                prefix="repro-durable-"
+            )
         for pid in range(config.n_replicas):
             node = RoutingNode(self.runtime, pid, name=f"{self.name}R{pid}")
-            store = self._make_store(pid)
             clock = DriftingClock(
                 self.sim,
                 offset=config.clock_offsets.get(pid, 0.0),
                 rate=config.clock_rates.get(pid, 1.0),
             )
-            replica = replica_class(
+            replica, omega = build_replica_stack(
+                config,
                 node,
                 clock,
                 self.datatype,
-                config,
-                trace=self.trace,
+                protocol=self.protocol,
                 responder=self._make_responder(pid),
-                store=store,
+                commit_listener=self._on_commit,
+                durability_root=durability_root,
                 telemetry=self._tscope,
+                trace=self.trace,
             )
-            if config.dissemination == "anti_entropy":
-                replica.rb = AntiEntropy(
-                    node,
-                    replica.on_rb_deliver,
-                    deliver_batch=replica.on_rb_deliver_batch,
-                    sync_interval=config.ae_sync_interval,
-                    trace=self.trace,
-                    store=store,
-                    telemetry=self._tscope,
-                )
-            else:
-                replica.rb = ReliableBroadcast(
-                    node, replica.on_rb_deliver, trace=self.trace, store=store
-                )
-            if config.tob_engine == "sequencer":
-                replica.tob = SequencerTOB(
-                    node,
-                    replica.on_tob_deliver,
-                    sequencer_pid=config.sequencer_pid,
-                    trace=self.trace,
-                    store=store,
-                    telemetry=self._tscope,
-                )
-            else:
-                omega = OmegaFailureDetector(
-                    node,
-                    heartbeat_interval=config.heartbeat_interval,
-                    timeout=config.failure_timeout,
-                    trace=self.trace,
-                )
+            if omega is not None:
                 self.omegas.append(omega)
-                replica.tob = PaxosTOB(
-                    node,
-                    replica.on_tob_deliver,
-                    omega,
-                    retry_interval=config.paxos_retry_interval,
-                    max_batch=config.paxos_max_batch,
-                    max_inflight=config.paxos_max_inflight,
-                    dual_2b=config.paxos_dual_2b,
-                    max_gap=config.paxos_max_gap,
-                    catchup_batch=config.paxos_catchup_batch,
-                    catchup_rate=config.paxos_catchup_rate,
-                    catchup_burst=config.paxos_catchup_burst,
-                    deliver_batch=replica.on_tob_deliver_batch,
-                    trace=self.trace,
-                    store=store,
-                    telemetry=self._tscope,
-                )
-                self.sim.schedule(0.0, omega.start, label=f"omega start {pid}")
-            replica.commit_listener = self._on_commit
-            # Registered last, so it runs after every component on this node
-            # rebuilt its own state: the replica's uncommitted requests are
-            # re-advertised only once the endpoints can carry them.
-            node.register_crash_hooks(
-                on_recover=lambda r=replica: r.reannounce()
-            )
-            if replica.restored_from_store:
-                # Rebuilt over a previous incarnation's disk: re-advertise
-                # uncommitted requests once the simulation starts (the
-                # endpoints above are wired by then).
-                self.sim.schedule(
-                    0.0, replica.reannounce, label=f"reannounce R{pid}"
-                )
             self.nodes.append(node)
             self.clocks.append(clock)
             self.replicas.append(replica)
-            self.stores.append(store)
+            self.stores.append(replica.store)
 
     def _make_responder(self, pid: int):
         def responder(

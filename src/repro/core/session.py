@@ -32,8 +32,6 @@ Sessions expose the data type's declared operations as bound proxies::
     session = cluster.connect(0)
     future = session.append("a")            # weak by default
     confirm = session.strong.read()         # consensus-backed
-
-``ClientSession`` is a backwards-compatible alias of :class:`Session`.
 """
 
 from __future__ import annotations
@@ -427,7 +425,3 @@ class Session:
         if self.on_response is not None:
             self.on_response(future.op, future.strong, future.rval, latency)
         self._maybe_schedule_pump()
-
-
-#: Backwards-compatible name: the pre-futures closed-loop client.
-ClientSession = Session

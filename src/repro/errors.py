@@ -80,7 +80,7 @@ class MigrationStrandedError(MigrationError):
     time, marks the migration ``stranded`` (releasing ``converged()``
     and the one-migration-per-shard slot instead of wedging them
     forever), and surfaces an instance of this error in
-    ``ShardedRunResult.checks["migrations"]`` so scenario assertions see
+    ``RunResult.checks["migrations"]`` so scenario assertions see
     a named failure rather than a hang.
     """
 

@@ -54,14 +54,16 @@ class AsyncioTimer(RuntimeTimer):
 
     __slots__ = ("_handle", "_cancelled", "label")
 
-    def __init__(self, handle: asyncio.TimerHandle, label: str) -> None:
-        self._handle = handle
+    def __init__(self, label: str) -> None:
+        #: None until the loop runs the timer's ``call_later``.
+        self._handle: Optional[asyncio.TimerHandle] = None
         self._cancelled = False
         self.label = label
 
     def cancel(self) -> None:
         self._cancelled = True
-        self._handle.cancel()
+        if self._handle is not None:
+            self._handle.cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -111,6 +113,9 @@ class AsyncioRuntime(Runtime):
         self._epoch: Optional[float] = None
         self._stopped = False
         self._conn_tasks: List[asyncio.Task] = []
+        #: Timers set before the loop ran (a server builds its stack
+        #: first): ``start()`` arms them, counted from the epoch.
+        self._deferred: List[Callable[[], None]] = []
         #: Harness hook answering ``rpc`` frames; ``None`` refuses them.
         self.rpc_handler: Optional[RpcHandler] = None
         # Transport counters (the sim network keeps the same ones).
@@ -138,23 +143,31 @@ class AsyncioRuntime(Runtime):
         return asyncio.get_running_loop()
 
     def now(self) -> float:
-        loop = self._loop()
+        """Seconds since the epoch; 0 before the loop runs."""
         if self._epoch is None:
-            self._epoch = loop.time()
-        return loop.time() - self._epoch
+            try:
+                self._epoch = self._loop().time()
+            except RuntimeError:  # no running loop: time has not started
+                pass
+            return 0.0
+        return self._loop().time() - self._epoch
 
     def schedule(
         self, delay: float, callback: Callable[[], None], *, label: str = ""
     ) -> AsyncioTimer:
-        timer_box: List[AsyncioTimer] = []
+        timer = AsyncioTimer(label)
 
         def guarded() -> None:
-            if not timer_box[0].cancelled:
+            if not timer.cancelled:
                 callback()
 
-        handle = self._loop().call_later(max(0.0, delay), guarded)
-        timer = AsyncioTimer(handle, label)
-        timer_box.append(timer)
+        def arm() -> None:
+            timer._handle = self._loop().call_later(max(0.0, delay), guarded)
+
+        try:
+            arm()
+        except RuntimeError:  # no running loop yet: start() arms it
+            self._deferred.append(arm)
         return timer
 
     def register(self, process: Any) -> None:
@@ -203,6 +216,9 @@ class AsyncioRuntime(Runtime):
         self._server = await asyncio.start_server(
             self._on_connection, host=host, port=port
         )
+        deferred, self._deferred = self._deferred, []
+        for arm in deferred:
+            arm()
 
     @property
     def bound_port(self) -> int:

@@ -4,10 +4,11 @@ This is the asyncio deployment of the *identical* protocol stack the
 simulator runs: a :class:`~repro.net.node.RoutingNode` hosting the
 dissemination endpoint (RB or anti-entropy), a TOB engine (sequencer or
 Multi-Paxos with Ω) and a :class:`~repro.core.replica.BayouReplica` — all
-constructed exactly as :class:`~repro.core.cluster.BayouCluster` builds
-them, but over an :class:`~repro.runtime.asyncio_net.AsyncioRuntime`
-instead of a :class:`~repro.runtime.sim.SimRuntime`. No protocol file
-knows which one it got.
+built by :func:`~repro.core.stack.build_replica_stack`, the function
+:class:`~repro.core.cluster.BayouCluster` builds its replicas with, but
+over an :class:`~repro.runtime.asyncio_net.AsyncioRuntime` instead of a
+:class:`~repro.runtime.sim.SimRuntime`. No protocol file knows which one
+it got.
 
 A cluster is described by a JSON spec file shared by all members::
 
@@ -30,22 +31,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
-import os
 import signal
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broadcast.anti_entropy import AntiEntropy
-from repro.broadcast.failure_detector import OmegaFailureDetector
-from repro.broadcast.paxos import PaxosTOB
-from repro.broadcast.reliable import ReliableBroadcast
-from repro.broadcast.sequencer import SequencerTOB
 from repro.core.config import BayouConfig
-from repro.core.durability import open_store
-from repro.core.replica import BayouReplica
 from repro.core.request import Dot, Req
+from repro.core.stack import build_replica_stack
 from repro.datatypes import BankAccounts, Counter, KVStore, Register
 from repro.net.node import RoutingNode
 from repro.obs import Telemetry
@@ -128,24 +124,7 @@ class ClusterSpec:
         return {pid: (self.host, self.ports[pid]) for pid in range(self.n_replicas)}
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "n_replicas": self.n_replicas,
-            "host": self.host,
-            "ports": list(self.ports),
-            "datatype": self.datatype,
-            "tob_engine": self.tob_engine,
-            "dissemination": self.dissemination,
-            "sequencer_pid": self.sequencer_pid,
-            "exec_delay": self.exec_delay,
-            "ae_sync_interval": self.ae_sync_interval,
-            "heartbeat_interval": self.heartbeat_interval,
-            "failure_timeout": self.failure_timeout,
-            "paxos_retry_interval": self.paxos_retry_interval,
-            "retransmit_interval": self.retransmit_interval,
-            "durability": self.durability,
-            "durability_dir": self.durability_dir,
-            "telemetry": self.telemetry,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "ClusterSpec":
@@ -182,62 +161,16 @@ class ReplicaServer:
             pid, spec.peers(), telemetry=self.telemetry
         )
         self.node = RoutingNode(self.runtime, pid, name=f"rt-R{pid}")
-        clock = DriftingClock(self.runtime.timeview)
-        store = None
-        if config.durability == "jsonl":
-            root = config.durability_dir
-            if root is None:
-                raise ValueError("jsonl durability needs durability_dir in the spec")
-            store = open_store("jsonl", directory=os.path.join(root, f"node{pid}"))
-        elif config.durability != "none":
-            store = open_store(config.durability)
-        self.replica = BayouReplica(
-            self.node,
-            clock,
-            DATATYPES[spec.datatype](),
+        self.replica, self.omega = build_replica_stack(
             config,
+            self.node,
+            DriftingClock(self.runtime.timeview),
+            DATATYPES[spec.datatype](),
             responder=self._on_response,
-            store=store,
+            commit_listener=self._on_commit,
+            durability_root=config.durability_dir,
             telemetry=self.telemetry,
         )
-        # Identical component wiring to BayouCluster._build, minus traces.
-        self.omega: Optional[OmegaFailureDetector] = None
-        if config.dissemination == "anti_entropy":
-            self.replica.rb = AntiEntropy(
-                self.node,
-                self.replica.on_rb_deliver,
-                deliver_batch=self.replica.on_rb_deliver_batch,
-                sync_interval=config.ae_sync_interval,
-                store=store,
-                telemetry=self.telemetry,
-            )
-        else:
-            self.replica.rb = ReliableBroadcast(
-                self.node, self.replica.on_rb_deliver, store=store
-            )
-        if config.tob_engine == "sequencer":
-            self.replica.tob = SequencerTOB(
-                self.node,
-                self.replica.on_tob_deliver,
-                sequencer_pid=config.sequencer_pid,
-                store=store,
-                telemetry=self.telemetry,
-            )
-        else:
-            self.omega = OmegaFailureDetector(
-                self.node,
-                heartbeat_interval=config.heartbeat_interval,
-                timeout=config.failure_timeout,
-            )
-            self.replica.tob = PaxosTOB(
-                self.node,
-                self.replica.on_tob_deliver,
-                self.omega,
-                retry_interval=config.paxos_retry_interval,
-                store=store,
-                telemetry=self.telemetry,
-            )
-        self.replica.commit_listener = self._on_commit
         self.runtime.rpc_handler = self._handle_rpc
         #: dot -> futures resolved at first response / at commit.
         self._response_waiters: Dict[Dot, List[asyncio.Future]] = {}
@@ -347,8 +280,6 @@ class ReplicaServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         await self.runtime.start()
-        if self.omega is not None:
-            self.runtime.spawn(self.omega.start, label="omega start")
 
     async def stop(self) -> None:
         self.replica.stop()

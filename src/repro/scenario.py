@@ -51,7 +51,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TYPE_CHECKING,
     Union,
 )
 
@@ -83,9 +82,10 @@ from repro.net.faults import (
     tob_delay_rule,
 )
 from repro.net.partition import PartitionSchedule
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard.scenario import ShardedLiveRun, ShardedRunResult
+from repro.shard.control import PlacementController
+from repro.shard.deployment import ShardedCluster
+from repro.shard.migration import Migration, MigrationCheck
+from repro.shard.router import ShardedSession, ShardRouter
 
 
 @dataclass
@@ -220,7 +220,7 @@ class Scenario:
         shard*) on one shared simulator; operations route to the shard
         owning their keys (``partitioner`` defaults to the stable
         :class:`~repro.shard.partitioner.HashPartitioner`). ``run()``
-        then returns a :class:`~repro.shard.scenario.ShardedRunResult`.
+        then returns a :class:`RunResult` with one history per shard.
         ``.partition()``/``.heal()``/``.crash()`` accept a ``shard=``
         scope in this mode.
         """
@@ -428,7 +428,7 @@ class Scenario:
         keep running; ``transfer_delay`` models the data movement time.
         The resulting :class:`~repro.shard.migration.Migration` records
         land on the run (``live.migrations`` /
-        :attr:`~repro.shard.scenario.ShardedRunResult.migrations`).
+        :attr:`RunResult.migrations`).
         """
         chosen = [name for name, value in (
             ("split", split), ("merge", merge), ("move", move)
@@ -478,7 +478,7 @@ class Scenario:
         knobs (``hysteresis``, ``lookback``, ``decay``,
         ``transfer_delay``, ...) pass through to the controller. The
         controller lands on the result
-        (:attr:`~repro.shard.scenario.ShardedRunResult.controller`).
+        (:attr:`RunResult.controller`).
         """
         self._autoscale = dict(
             policy=policy,
@@ -730,7 +730,7 @@ class Scenario:
             build_filter(filters)
         return filters
 
-    def build(self) -> Union["LiveRun", "ShardedLiveRun"]:
+    def build(self) -> "LiveRun":
         """Compile to a live cluster (or sharded deployment), scheduled."""
         if self._datatype is None:
             raise ValueError("Scenario needs a datatype (pass one or .datatype())")
@@ -783,11 +783,8 @@ class Scenario:
         )
         return LiveRun(self, cluster)
 
-    def _build_sharded(self) -> "ShardedLiveRun":
+    def _build_sharded(self) -> "LiveRun":
         """Compile to N shards on one simulator, faults scoped per shard."""
-        from repro.shard.deployment import ShardedCluster
-        from repro.shard.scenario import ShardedLiveRun
-
         config = self._compile_config()
         n_shards = self._n_shards
         assert n_shards is not None
@@ -827,7 +824,7 @@ class Scenario:
             filters=filters or None,
             crashes=crashes or None,
         )
-        return ShardedLiveRun(self, deployment)
+        return LiveRun(self, deployment=deployment)
 
     def run(
         self,
@@ -835,7 +832,7 @@ class Scenario:
         until: Optional[float] = None,
         well_formed: bool = True,
         max_time: float = 100_000.0,
-    ) -> "Union[RunResult, ShardedRunResult]":
+    ) -> "RunResult":
         """Build, run to completion, probe, check — the one-call pipeline.
 
         With the Paxos engine the run goes through ``run_until_stable`` and
@@ -856,11 +853,39 @@ class Scenario:
 
 
 class LiveRun:
-    """A compiled, running scenario: the mid-flight control handle."""
+    """A compiled, running scenario: the mid-flight control handle.
 
-    def __init__(self, scenario: Scenario, cluster: BayouCluster) -> None:
+    The run drives a list of replica groups on one simulator: the
+    scenario's :class:`~repro.core.cluster.BayouCluster` (``cluster``), or
+    every shard of a :class:`~repro.shard.deployment.ShardedCluster`
+    (``deployment``), whose operations a
+    :class:`~repro.shard.router.ShardRouter` (``router``) routes to their
+    owner shards. Clients submit through the cluster or the router; both
+    expose the same ``submit``/``connect``.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        cluster: Optional[BayouCluster] = None,
+        *,
+        deployment: Optional[ShardedCluster] = None,
+    ) -> None:
         self.scenario = scenario
+        #: The unsharded run's cluster (None on a sharded run).
         self.cluster = cluster
+        #: The sharded run's deployment and router (None unsharded).
+        self.deployment = deployment
+        self.router = ShardRouter(deployment) if deployment is not None else None
+        #: What runs the simulation: the cluster or the whole deployment
+        #: (both expose the same run/converge/shutdown surface).
+        self._system: Union[BayouCluster, ShardedCluster] = (
+            deployment if deployment is not None else cluster
+        )
+        #: Where clients submit: the cluster itself or the shard router.
+        self._front: Union[BayouCluster, ShardRouter] = (
+            self.router if self.router is not None else cluster
+        )
         #: label -> OpFuture for every labelled scripted/client operation.
         self.futures: Dict[str, OpFuture] = {}
         #: label -> simulated time of scripted invocations refused because
@@ -869,20 +894,36 @@ class LiveRun:
         self.refused: Dict[str, float] = {}
         #: Sessions of the scripted clients, in declaration order (a pid
         #: may appear more than once).
-        self.sessions: List[Session] = []
+        self.sessions: List[Union[Session, ShardedSession]] = []
         self.workloads: List[RandomWorkload] = []
+        #: The autonomous placement controller (``autoscale()`` only).
+        self.controller: Optional[PlacementController] = None
         self._schedule_everything()
 
     # -- wiring --------------------------------------------------------
     def _schedule_everything(self) -> None:
+        sim = self._system.sim
+        if self.scenario._autoscale is not None:
+            self.controller = PlacementController(
+                self.router, **self.scenario._autoscale
+            )
+            self.controller.start()
+        for at, kind, params, pid, transfer_delay in self.scenario._reshardings:
+            sim.schedule_at(
+                at,
+                lambda k=kind, p=params, i=pid, d=transfer_delay: (
+                    self._fire_resharding(k, p, i, d)
+                ),
+                label=f"scenario resharding {kind}{params}",
+            )
         for scripted in self.scenario._scripted:
-            self.cluster.sim.schedule_at(
+            sim.schedule_at(
                 scripted.at,
                 lambda s=scripted: self._fire_scripted(s),
                 label=f"scenario invoke R{scripted.pid} {scripted.op}",
             )
         for client in self.scenario._clients:
-            session = self.cluster.connect(
+            session = self._front.connect(
                 client.pid, think_time=client.think_time
             )
             self.sessions.append(session)
@@ -892,7 +933,7 @@ class LiveRun:
                     self.futures[op_label] = future
         for spec in self.scenario._workloads:
             workload = RandomWorkload(
-                self.cluster,
+                self._front,
                 spec.profile,
                 ops_per_session=spec.ops_per_session,
                 think_time=spec.think_time,
@@ -902,14 +943,40 @@ class LiveRun:
             workload.start()
             self.workloads.append(workload)
         for time, hook in self.scenario._hooks:
-            self.cluster.sim.schedule_at(
-                time, lambda h=hook: h(self), label="scenario hook"
+            sim.schedule_at(time, lambda h=hook: h(self), label="scenario hook")
+
+    def _fire_resharding(
+        self, kind: str, params: Tuple[Any, ...], pid: int, transfer_delay: float
+    ) -> None:
+        deployment = self.deployment
+        assert deployment is not None
+        if kind == "split":
+            deployment.split(params[0], pid=pid, transfer_delay=transfer_delay)
+        elif kind == "merge":
+            dst, src = params
+            deployment.merge(dst, src, pid=pid, transfer_delay=transfer_delay)
+        else:
+            lo, hi, dst = params
+            deployment.move(
+                (lo, hi), dst, pid=pid, transfer_delay=transfer_delay
             )
 
     # -- driving -------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.cluster.sim.now
+        return self._system.sim.now
+
+    @property
+    def groups(self) -> List[BayouCluster]:
+        """The replica groups: the one cluster, or every shard by id."""
+        if self.deployment is None:
+            return [self.cluster]
+        return list(self.deployment.shards)
+
+    @property
+    def migrations(self) -> List[Migration]:
+        """Every resharding step this run has executed (or is executing)."""
+        return [] if self.deployment is None else self.deployment.migrations
 
     def submit(
         self,
@@ -929,7 +996,7 @@ class LiveRun:
             label in self.futures or label in self.scenario._labels
         ):
             raise ValueError(f"duplicate scenario label {label!r}")
-        future = self.cluster.submit(pid, op, strong=strong)
+        future = self._front.submit(pid, op, strong=strong)
         if label is not None:
             self.futures[label] = future
         return future
@@ -942,20 +1009,20 @@ class LiveRun:
         observation (recorded in :attr:`refused`), not a harness error.
         """
         try:
-            self.futures[scripted.label] = self.cluster.submit(
+            self.futures[scripted.label] = self._front.submit(
                 scripted.pid, scripted.op, strong=scripted.strong
             )
         except ReplicaUnavailableError:
-            self.refused[scripted.label] = self.cluster.sim.now
+            self.refused[scripted.label] = self.now
 
     def run(self, until: Optional[float] = None) -> None:
-        self.cluster.run(until=until)
+        self._system.run(until=until)
 
     def run_until_quiescent(self) -> float:
-        return self.cluster.run_until_quiescent()
+        return self._system.run_until_quiescent()
 
     def run_until_stable(self, **kwargs: Any) -> bool:
-        return self.cluster.run_until_stable(**kwargs)
+        return self._system.run_until_stable(**kwargs)
 
     def settle(self, *, max_time: float = 100_000.0) -> None:
         """Run until the workload is done, whatever the TOB engine.
@@ -964,29 +1031,40 @@ class LiveRun:
         heartbeat/retry timers alive forever, so it is driven to a stable
         state bounded by ``max_time`` instead.
         """
-        if self.cluster.config.tob_engine == "paxos":
-            self.cluster.run_until_stable(max_time=max_time)
+        if self._system.config.tob_engine == "paxos":
+            self._system.run_until_stable(max_time=max_time)
         else:
-            self.cluster.run_until_quiescent()
+            self._system.run_until_quiescent()
 
     def shutdown(self) -> None:
-        self.cluster.shutdown()
+        self._system.shutdown()
 
     def converged(self) -> bool:
-        return self.cluster.converged()
+        return self._system.converged()
 
     def history(self, *, well_formed: bool = True) -> History:
         """Freeze the current staged records into a checkable history."""
+        if self.cluster is None:
+            raise ValueError("a sharded run has one history per shard")
         return self.cluster.build_history(well_formed=well_formed)
 
     # -- finishing -----------------------------------------------------
     def add_probes(self, *, max_time: float = 100_000.0) -> None:
-        """Issue the configured horizon probes and run them to completion."""
+        """Issue the configured horizon probes on every serving group."""
         if self.scenario._probe_op is None:
             return
-        self.cluster.add_horizon_probes(
-            self.scenario._probe_op, spacing=self.scenario._probe_spacing
+        serving = (
+            [self.cluster]
+            if self.deployment is None
+            else [
+                self.deployment.shards[index]
+                for index in self.deployment.live_shard_indexes()
+            ]
         )
+        for group in serving:
+            group.add_horizon_probes(
+                self.scenario._probe_op, spacing=self.scenario._probe_spacing
+            )
         self.settle(max_time=max_time)
 
     def finish(
@@ -996,7 +1074,7 @@ class LiveRun:
         max_time: float = 100_000.0,
         settle: bool = True,
     ) -> "RunResult":
-        """Probe, freeze the history, run the configured checks.
+        """Probe, freeze each group's history, run the configured checks.
 
         With ``settle`` (the default) this is terminal: probes are issued
         and, for Paxos runs, the engine's perpetual timers are shut down so
@@ -1005,53 +1083,109 @@ class LiveRun:
         """
         if settle:
             self.add_probes(max_time=max_time)
-            if self.cluster.config.tob_engine == "paxos":
+            if self._system.config.tob_engine == "paxos":
                 self.shutdown()
-                self.cluster.run_until_quiescent()
-        history = self.history(well_formed=well_formed)
-        execution = build_abstract_execution(history)
+                self.run_until_quiescent()
+        histories = [
+            group.build_history(well_formed=well_formed) for group in self.groups
+        ]
+        executions = [build_abstract_execution(h) for h in histories]
         checks: Dict[str, Any] = {}
-        session_guarantees: Optional[Dict[str, Any]] = None
+        session_guarantees: Optional[Any] = None
         for kind, level in self.scenario._checks:
             if kind == "fec":
-                checks[f"fec:{level}"] = check_fec(execution, level)
+                checks[f"fec:{level}"] = [check_fec(x, level) for x in executions]
             elif kind == "bec":
-                checks[f"bec:{level}"] = check_bec(execution, level)
+                checks[f"bec:{level}"] = [check_bec(x, level) for x in executions]
             elif kind == "seq":
-                checks[f"seq:{level}"] = check_seq(execution, level)
+                checks[f"seq:{level}"] = [check_seq(x, level) for x in executions]
             elif kind == "ncc":
-                checks["ncc"] = check_ncc(execution)
+                checks["ncc"] = [check_ncc(x) for x in executions]
             elif kind == "sessions":
-                session_guarantees = check_all_session_guarantees(execution)
+                session_guarantees = [
+                    check_all_session_guarantees(x) for x in executions
+                ]
+        if self.deployment is None:
+            # One group: its reports are the run's, not a per-shard list.
+            checks = {name: reports[0] for name, reports in checks.items()}
+            if session_guarantees is not None:
+                session_guarantees = session_guarantees[0]
+        elif self.migrations:
+            checks["migrations"] = [
+                MigrationCheck(
+                    name=migration.describe(),
+                    ok=migration.complete,
+                    state=migration.state,
+                    error=migration.error,
+                )
+                for migration in self.migrations
+            ]
         return RunResult(
             name=self.scenario.name,
-            protocol=self.cluster.protocol,
-            cluster=self.cluster,
-            history=history,
-            execution=execution,
+            protocol=self._system.protocol,
+            histories=histories,
+            executions=executions,
             futures=dict(self.futures),
             checks=checks,
             session_guarantees=session_guarantees,
-            convergence=self.cluster.convergence_report(),
+            convergence=self._system.convergence_report(),
             refused=dict(self.refused),
+            cluster=self.cluster,
+            deployment=self.deployment,
+            router=self.router,
+            migrations=list(self.migrations),
+            controller=self.controller,
         )
 
 
 @dataclass
 class RunResult:
-    """Everything one scenario run produced, structured for assertions."""
+    """Everything one scenario run produced, structured for assertions.
+
+    A sharded run's result merges every shard's: one label → future map
+    across all shards (cross-shard parents included), one history, one
+    execution and one report per check *per shard*, and aggregate
+    convergence. An unsharded run has one of each.
+    """
 
     name: str
     protocol: str
-    cluster: BayouCluster = field(repr=False)
-    history: History = field(repr=False)
-    execution: Any = field(repr=False)
+    #: One frozen history (and abstract execution) per replica group:
+    #: the cluster's, or each shard's by shard id.
+    histories: List[History] = field(repr=False)
+    executions: List[Any] = field(repr=False)
+    #: label -> future, across all shards (cross-shard parents included).
     futures: Dict[str, OpFuture] = field(repr=False)
+    #: check name -> report; on a sharded run, a list of per-shard reports.
     checks: Dict[str, Any] = field(repr=False)
-    session_guarantees: Optional[Dict[str, Any]] = field(repr=False)
+    #: The session-guarantee reports (per shard on a sharded run).
+    session_guarantees: Optional[Any] = field(repr=False)
     convergence: Dict[str, Any] = field(repr=False)
     #: label -> time of scripted invocations refused at a crashed replica.
     refused: Dict[str, float] = field(repr=False, default_factory=dict)
+    cluster: Optional[BayouCluster] = field(repr=False, default=None)
+    deployment: Optional[ShardedCluster] = field(repr=False, default=None)
+    router: Optional[ShardRouter] = field(repr=False, default=None)
+    #: Resharding steps the run executed, in start order.
+    migrations: List[Migration] = field(repr=False, default_factory=list)
+    #: The autonomous placement controller, when ``autoscale()`` armed
+    #: one (its ``actions`` log is the experiment read surface).
+    controller: Optional[PlacementController] = field(repr=False, default=None)
+
+    # -- history -------------------------------------------------------
+    @property
+    def history(self) -> History:
+        """The unsharded run's history."""
+        if self.deployment is not None:
+            raise ValueError("a sharded run has one history per shard")
+        return self.histories[0]
+
+    @property
+    def execution(self) -> Any:
+        """The unsharded run's abstract execution."""
+        if self.deployment is not None:
+            raise ValueError("a sharded run has one execution per shard")
+        return self.executions[0]
 
     # -- responses -----------------------------------------------------
     @property
@@ -1085,35 +1219,60 @@ class RunResult:
 
     # -- verdicts ------------------------------------------------------
     @property
+    def n_shards(self) -> int:
+        return self.deployment.n_shards
+
+    @property
+    def epoch(self) -> int:
+        """The placement epoch the deployment finished on."""
+        return self.deployment.epoch
+
+    @property
     def converged(self) -> bool:
         return bool(self.convergence["converged"])
 
-    def check(self, name: str) -> Any:
-        """A requested guarantee report, e.g. ``check("fec:weak")``."""
-        return self.checks[name]
+    def check(self, name: str, shard: Optional[int] = None) -> Any:
+        """A requested guarantee report, e.g. ``check("fec:weak")``.
+
+        On a sharded run: the per-shard list, or ``shard``'s report.
+        """
+        report = self.checks[name]
+        return report if shard is None else report[shard]
 
     def ok(self, name: str) -> bool:
-        return bool(self.checks[name].ok)
+        """True when the named check holds (on *every* shard)."""
+        reports = self.checks[name]
+        if self.deployment is None:
+            reports = [reports]
+        return all(bool(report.ok) for report in reports)
 
     # -- state and metrics ---------------------------------------------
     def query(self, op: Operation) -> Any:
-        """Execute a read-only ``op`` against replica 0's converged state."""
+        """Execute a read-only ``op`` against replica 0's converged state
+        (of the owner shard, on a sharded run)."""
+        if self.router is not None:
+            return self.router.query(op)
         snapshot = PlainDb(self.cluster.replicas[0].state.snapshot())
         return self.history.datatype.execute(op, snapshot)
+
+    def shard_snapshot(self, shard: int) -> Dict[Any, Any]:
+        """Replica 0's register snapshot of one shard."""
+        return self.deployment.shards[shard].replicas[0].state.snapshot()
 
     def latencies(
         self, level: Optional[str] = None, *, session: Optional[int] = None
     ) -> List[float]:
-        """Response latencies from the history (optionally filtered)."""
+        """Response latencies from the histories (optionally filtered)."""
         samples = []
-        for event in self.history.events:
-            if event.return_time is None:
-                continue
-            if level is not None and event.level != level:
-                continue
-            if session is not None and event.session != session:
-                continue
-            samples.append(event.return_time - event.invoke_time)
+        for history in self.histories:
+            for event in history.events:
+                if event.return_time is None:
+                    continue
+                if level is not None and event.level != level:
+                    continue
+                if session is not None and event.session != session:
+                    continue
+                samples.append(event.return_time - event.invoke_time)
         return samples
 
     @property
@@ -1128,7 +1287,8 @@ class RunResult:
     @property
     def telemetry(self):
         """The run's telemetry plane (``None`` unless ``.telemetry()``)."""
-        return self.cluster.telemetry
+        system = self.deployment if self.deployment is not None else self.cluster
+        return system.telemetry
 
     def op_timestamps(self) -> Dict[str, Dict[str, Optional[float]]]:
         """label -> submit/invoke/response/stable times of labelled ops."""

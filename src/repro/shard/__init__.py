@@ -41,7 +41,7 @@ from repro.shard.control import (
 )
 from repro.shard.coordinator import CrossShardCoordinator, CrossShardFuture
 from repro.shard.deployment import ShardedCluster
-from repro.shard.migration import Migration
+from repro.shard.migration import Migration, MigrationCheck
 from repro.shard.partitioner import (
     EpochShardMap,
     HashPartitioner,
@@ -52,7 +52,6 @@ from repro.shard.partitioner import (
     VersionedShardMap,
 )
 from repro.shard.router import ShardedSession, ShardRouter
-from repro.shard.scenario import ShardedLiveRun, ShardedRunResult
 
 __all__ = [
     "CrossShardCoordinator",
@@ -61,6 +60,7 @@ __all__ = [
     "HashPartitioner",
     "HotKeyIsolation",
     "Migration",
+    "MigrationCheck",
     "Partitioner",
     "PlacementController",
     "PlacementPolicy",
@@ -71,8 +71,6 @@ __all__ = [
     "ShardRouter",
     "ShardStats",
     "ShardedCluster",
-    "ShardedLiveRun",
-    "ShardedRunResult",
     "ShardedSession",
     "SpaceSavingSketch",
     "VersionedShardMap",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.client import ClientSession
+from repro.core.session import Session
 from repro.core.cluster import BayouCluster, MODIFIED, ORIGINAL
 from repro.core.config import BayouConfig
 from repro.datatypes.counter import Counter
@@ -101,7 +101,7 @@ def test_probe_spacing_accounts_for_clock_offsets():
 
 def test_session_runs_operations_sequentially():
     cluster = make_cluster()
-    session = ClientSession(cluster, 0, think_time=0.5)
+    session = Session(cluster, 0, think_time=0.5)
     for index in range(5):
         session.submit(Counter.increment(1))
     cluster.run_until_quiescent()
@@ -114,7 +114,7 @@ def test_session_runs_operations_sequentially():
 def test_session_on_response_callback():
     cluster = make_cluster()
     seen = []
-    session = ClientSession(
+    session = Session(
         cluster, 0, on_response=lambda op, strong, rval, lat: seen.append(rval)
     )
     session.submit(Counter.increment(5))
@@ -125,7 +125,7 @@ def test_session_on_response_callback():
 
 def test_session_latencies_recorded():
     cluster = make_cluster(protocol=MODIFIED)
-    session = ClientSession(cluster, 1)
+    session = Session(cluster, 1)
     session.submit(Counter.increment(1))          # weak: immediate
     session.submit(Counter.increment(1), True)    # strong: waits for TOB
     cluster.run_until_quiescent()
@@ -136,7 +136,7 @@ def test_session_latencies_recorded():
 
 def test_mixed_sessions_multiple_replicas_converge():
     cluster = make_cluster(datatype=RList())
-    sessions = [ClientSession(cluster, pid, think_time=0.3) for pid in range(3)]
+    sessions = [Session(cluster, pid, think_time=0.3) for pid in range(3)]
     for index, session in enumerate(sessions):
         for op_index in range(4):
             session.submit(

@@ -13,7 +13,7 @@ from repro.datatypes.bank import BankAccounts
 from repro.datatypes.kvstore import KVStore
 from repro.scenario import Scenario
 from repro.shard import HashPartitioner, RangePartitioner
-from repro.shard.scenario import ShardedRunResult
+from repro.scenario import RunResult
 
 KEYS = [f"k{i}" for i in range(24)]
 
@@ -40,7 +40,7 @@ def test_sharded_scenario_runs_and_merges_futures():
         .invoke(2.0, 1, KVStore.put("zeta", 2), label="high")
         .run(well_formed=False)
     )
-    assert isinstance(result, ShardedRunResult)
+    assert isinstance(result, RunResult)
     assert result.n_shards == 2
     assert result.responses == {"low": None, "high": None}
     assert result.converged
@@ -116,7 +116,7 @@ def test_scripted_invoke_into_crashed_owner_is_refused():
 # ----------------------------------------------------------------------
 # Shard-local fault isolation
 # ----------------------------------------------------------------------
-def _crash_scenario(with_crash: bool) -> ShardedRunResult:
+def _crash_scenario(with_crash: bool) -> RunResult:
     scenario = (
         Scenario(KVStore(), name="isolation")
         .shards(3, partitioner=HashPartitioner(2))
