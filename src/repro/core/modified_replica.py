@@ -126,12 +126,13 @@ class ModifiedBayouReplica(BayouReplica):
         return not req.strong
 
     def _may_keep_execution(self, req: Req) -> bool:
-        """True when the immediate execution already sits at the tail."""
+        """True when the immediate execution already sits at the tail
+        (``tentative`` is sorted, so its last entry is the one to beat)."""
         if not self.config.optimize_tail_execution:
             return False
         if self.to_be_rolled_back or self.to_be_executed:
             return False
-        return all(r < req for r in self.tentative)
+        return not self.tentative or self.tentative[-1] < req
 
     @staticmethod
     def _no_response_sentinel():

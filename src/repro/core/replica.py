@@ -24,11 +24,20 @@ Engine invariants (shared by both reorder engines, see ``docs/PERFORMANCE.md``):
 
 - ``executed`` is always a *prefix* of the most recently adjusted order, and
   ``executed ++ to_be_executed`` equals that order as a sequence. This is
-  what lets the hot paths below (tail insertion, head commit) skip the full
-  O(n) ``adjust_execution`` diff: an insertion at the very tail of
+  what lets the hot paths below (tail insertion, head commit) skip
+  ``adjust_execution`` altogether: an insertion at the very tail of
   ``committed · tentative`` extends the schedule by exactly that request,
   and a TOB commit of the current tentative head leaves the concatenated
   sequence — and therefore the schedule — untouched.
+- divergence index: every other change to the order passes
+  ``adjust_execution`` the first index at which the new order can differ
+  from the last adjusted one (``len(committed) +`` the insertion point for
+  a mid-list insert, the smallest one for an RB batch, ``len(committed) -
+  1`` for a commit of a non-head or unknown request). ``executed`` up to
+  that index still matches, so the diff compares, truncates and
+  reschedules only the suffix from there: O(divergent suffix), not
+  O(history). The same prefix property makes "is the just-committed
+  request executed?" the O(1) test ``len(executed) >= len(committed)``.
 - the state object's live trace equals ``executed ++
   reversed(to_be_rolled_back)`` at all times, so draining the rollback queue
   is equivalent to ``StateObject.revert_to(len(executed))`` — the batched
@@ -46,7 +55,7 @@ Engine invariants (shared by both reorder engines, see ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.broadcast.reliable import ReliableBroadcast
@@ -219,17 +228,19 @@ class BayouReplica:
         Hot path: most requests arrive in timestamp order and land at the
         very tail of ``committed · tentative``. The executed prefix is then
         untouched, nothing rolls back, and the execution schedule simply
-        grows by ``req`` — no O(n) re-diff needed. Out-of-order arrivals
-        (drifting clocks, healed partitions) take the full
-        :meth:`adjust_execution` path.
+        grows by ``req`` — no re-diff needed. Out-of-order arrivals
+        (drifting clocks, healed partitions) re-diff from the insertion
+        point on via :meth:`adjust_execution`.
         """
-        if self._insert_tentative(req):
+        divergence = self._insert_tentative(req)
+        if divergence is None:
             self._schedule_step()
         else:
-            self.adjust_execution(self.committed + self.tentative)
+            self.adjust_execution(divergence)
 
-    def _insert_tentative(self, req: Req) -> bool:
-        """Insert ``req``; True if the tail fast path applied (no re-diff)."""
+    def _insert_tentative(self, req: Req) -> Optional[int]:
+        """Insert ``req``; ``None`` if the tail fast path applied (no
+        re-diff), else the index in ``committed · tentative`` it landed at."""
         self._tentative_dots.add(req.dot)
         if not self.tentative or self.tentative[-1] < req:
             self.tentative.append(req)
@@ -237,9 +248,10 @@ class BayouReplica:
                 # Not already executed (the modified protocol's footnote-8
                 # path keeps its immediate tail execution): schedule it.
                 self.to_be_executed.append(req)
-            return True
-        insort(self.tentative, req)
-        return False
+            return None
+        position = bisect_right(self.tentative, req)
+        self.tentative.insert(position, req)
+        return len(self.committed) + position
 
     # ------------------------------------------------------------------
     # Deliveries (lines 22-34)
@@ -281,15 +293,19 @@ class BayouReplica:
             return
         for req in fresh:
             self._persist_request(req)
-        all_tail = True
+        # The first index at which the order changed is the smallest
+        # insertion point: a later insert in front of an earlier one only
+        # shifts it right. Stale fast-path appends to to_be_executed are
+        # harmless: the adjust below replaces the schedule wholesale.
+        divergence: Optional[int] = None
         for req in fresh:
-            # Stale fast-path appends to to_be_executed are harmless: the
-            # full adjust below recomputes the schedule wholesale.
-            all_tail = self._insert_tentative(req) and all_tail
-        if all_tail:
+            position = self._insert_tentative(req)
+            if position is not None and (divergence is None or position < divergence):
+                divergence = position
+        if divergence is None:
             self._schedule_step()
         else:
-            self.adjust_execution(self.committed + self.tentative)
+            self.adjust_execution(divergence)
 
     def on_tob_deliver(self, key: Dot, req: Req) -> None:
         """TOB-delivery handler (lines 27-34).
@@ -297,13 +313,13 @@ class BayouReplica:
         Hot paths: committing the current *tentative head* moves it across
         the ``committed · tentative`` boundary without changing the
         concatenated sequence, so the execution schedule is already correct
-        and the O(n) re-diff is skipped — a healed-partition commit flood
-        performs a linear number of re-diffs (zero) instead of a quadratic
-        one. (The ``pop(0)`` below still shifts the tentative list — a
-        C-level memmove, ~40 ms across a 10⁴-commit flood — which profiling
-        shows is dwarfed by the avoided per-commit diffs.) A commit of an
-        unknown request while no tentative requests exist appends to the
-        order tail and extends the schedule in place.
+        and the re-diff is skipped — a healed-partition commit flood
+        performs no re-diffs at all. (The ``pop(0)`` below still shifts the
+        tentative list — a C-level memmove, ~40 ms across a 10⁴-commit
+        flood.) A commit of an unknown request while no tentative requests
+        exist appends to the order tail and extends the schedule in place.
+        Any other commit puts ``req`` at index ``len(committed) - 1`` of the
+        order, so the re-diff starts there.
         """
         if req.dot in self._committed_dots:
             return  # defensive: engines deliver each key once
@@ -321,15 +337,15 @@ class BayouReplica:
             if self.tentative[0].dot == req.dot:
                 self.tentative.pop(0)  # head commit: order sequence unchanged
             else:
-                self.tentative = [r for r in self.tentative if r.dot != req.dot]
-                self.adjust_execution(self.committed + self.tentative)
+                del self.tentative[bisect_left(self.tentative, req)]
+                self.adjust_execution(len(self.committed) - 1)
         elif not self.tentative:
             # Unknown request, empty tentative list: the order grew at its
             # tail; executed stays a prefix, the schedule just gains req.
             self.to_be_executed.append(req)
             self._schedule_step()
         else:
-            self.adjust_execution(self.committed + self.tentative)
+            self.adjust_execution(len(self.committed) - 1)
         if self.telemetry:
             self._m_commits.inc()
             if req.dot[0] == self.pid:
@@ -344,7 +360,9 @@ class BayouReplica:
                     "commit",
                     "tob.deliver",
                 )
-        if req.dot in self._awaiting and any(r.dot == req.dot for r in self.executed):
+        # ``executed`` is a prefix of the order and ``req`` now sits at index
+        # ``len(committed) - 1``, so it was executed iff the prefix reaches it.
+        if req.dot in self._awaiting and len(self.executed) >= len(self.committed):
             stored = self._awaiting.pop(req.dot)
             assert stored is not _NO_RESPONSE, "executed request lacks a response"
             response, perceived = stored
@@ -369,19 +387,38 @@ class BayouReplica:
     # ------------------------------------------------------------------
     # Execution scheduling (lines 35-40)
     # ------------------------------------------------------------------
-    def adjust_execution(self, new_order: List[Req]) -> None:
-        """Diff ``executed`` against ``new_order`` (lines 35-40)."""
-        in_order: List[Req] = []
-        for executed_req, ordered_req in zip(self.executed, new_order):
-            if executed_req.dot != ordered_req.dot:
-                break
-            in_order.append(executed_req)
-        out_of_order = self.executed[len(in_order):]
-        self.executed = in_order
-        self._executed_dots = [r.dot for r in in_order]
-        executed_dots = set(self._executed_dots)
-        self.to_be_executed = [r for r in new_order if r.dot not in executed_dots]
-        self.to_be_rolled_back = self.to_be_rolled_back + list(reversed(out_of_order))
+    def adjust_execution(self, divergence: int) -> None:
+        """Diff ``executed`` against ``committed · tentative`` (lines 35-40).
+
+        ``divergence`` is the first index at which the order can differ
+        from the one last adjusted to; ``executed`` is a prefix of that
+        order, so ``executed[:divergence]`` still matches and only the
+        suffix from there is compared. The out-of-order tail of
+        ``executed`` is cut off in place and queued for rollback (in
+        reverse), and the schedule becomes the order's suffix from the
+        first mismatch. Cost: O(divergent suffix), not O(history).
+        """
+        executed = self.executed
+        committed = self.committed
+        tentative = self.tentative
+        split = len(committed)
+        index = min(divergence, len(executed))
+        stop = min(len(executed), split)
+        while index < stop and executed[index].dot == committed[index].dot:
+            index += 1
+        if index >= split:
+            stop = min(len(executed), split + len(tentative))
+            while index < stop and executed[index].dot == tentative[index - split].dot:
+                index += 1
+        out_of_order = executed[index:]
+        del executed[index:]
+        del self._executed_dots[index:]
+        if index < split:
+            self.to_be_executed = committed[index:] + tentative
+        else:
+            self.to_be_executed = tentative[index - split:]
+        out_of_order.reverse()
+        self.to_be_rolled_back += out_of_order
         self._schedule_step()
 
     # ------------------------------------------------------------------
